@@ -1,12 +1,13 @@
 //! `repro` — regenerate every table and figure of the pgFMU paper.
 //!
 //! ```text
-//! repro [EXPERIMENT…] [--full] [--instances N]
+//! repro [EXPERIMENT…] [--full] [--instances N] [--out PATH]
 //!
 //! EXPERIMENT: table1 table2 table3 table4 table7 table8 fig6 fig7 fig8
 //!             madlib grouped bench  (default: all)
 //! --full        paper-scale workloads (100 instances, full datasets)
 //! --instances N override the MI instance count
+//! --out PATH    where `bench` writes its JSON (default target/BENCH.json)
 //! ```
 //!
 //! `bench` times the SQL hot paths (parse, cached plan execution, `$n`
@@ -25,9 +26,9 @@
 //! split over 1/2/4 writer threads, auto-commit and explicit
 //! BEGIN…COMMIT variants, which rides the sharded version storage and
 //! group commit) and writes per-bench robust medians
-//! (`{"median_ns": …, "mad_ns": …}`, see `criterion::stats`) to
-//! `BENCH_PR10.json` so the performance trajectory accumulates across
-//! PRs.
+//! (`{"median_ns": …, "mad_ns": …}`, see `criterion::stats`) to the
+//! `--out` path; committing a copy as `BENCH_*.json` accumulates the
+//! performance trajectory.
 
 use pgfmu_bench::report::{fmt_secs, render};
 use pgfmu_bench::setup::{bench_session, ModelKind, ALL_MODELS};
@@ -40,18 +41,22 @@ fn main() {
     } else {
         Profile::quick()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--instances") {
-        if let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-            profile.mi_instances = n;
-        }
+    let value_of = |flag: &str| {
+        let pos = args.iter().position(|a| a == flag)?;
+        args.get(pos + 1)
+    };
+    if let Some(n) = value_of("--instances").and_then(|v| v.parse::<usize>().ok()) {
+        profile.mi_instances = n;
     }
+    let out = value_of("--out").map_or("target/BENCH.json", |v| v.as_str());
+    // Experiment names: every argument that is neither a flag nor a
+    // flag's value.
+    let is_value = |i: usize| i > 0 && ["--instances", "--out"].contains(&args[i - 1].as_str());
     let wanted: Vec<&String> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // skip the value of --instances
-            a.parse::<usize>().is_err()
-        })
+        .enumerate()
+        .filter(|&(i, a)| !a.starts_with("--") && !is_value(i))
+        .map(|(_, a)| a)
         .collect();
     let run_all = wanted.is_empty();
     let want = |name: &str| run_all || wanted.iter().any(|w| *w == name);
@@ -95,7 +100,7 @@ fn main() {
         run_grouped(&profile);
     }
     if want("bench") {
-        run_bench_json("BENCH_PR10.json");
+        run_bench_json(out);
     }
 }
 
@@ -718,6 +723,9 @@ fn run_bench_json(path: &str) {
          \"group_commit_batched\": {group_commit_batched}}}\n"
     ));
     json.push_str("}\n");
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).unwrap();
+    }
     std::fs::write(path, &json).unwrap();
     for (name, s) in &results {
         println!(

@@ -301,16 +301,28 @@ pub(crate) enum WriteTxn {
     Txn { txid: u64 },
 }
 
-/// One table's pending stamps: the touched table plus the rids the
-/// transaction created and ended in it.
-type PendingStamps = (Arc<RwLock<Table>>, Vec<usize>, Vec<usize>);
+impl WriteTxn {
+    /// The owning transaction id for unique-constraint checks (0 in
+    /// auto-commit: every pending version then counts as a conflict).
+    pub(crate) fn txid(self) -> u64 {
+        match self {
+            WriteTxn::Txn { txid } => txid,
+            WriteTxn::Auto => 0,
+        }
+    }
+}
 
-/// One transaction's stamp set, published to the group-commit queue: the
-/// leader that drains the queue stamps every request under one guard
-/// acquisition and hands each its commit timestamp through `done`.
+/// One write's pending stamps: the touched table plus the rids the
+/// transaction created and ended in it.
+pub(crate) type PendingStamps = (Arc<RwLock<Table>>, Vec<usize>, Vec<usize>);
+
+/// One transaction's (or streamed statement's) stamp set, published to
+/// the group-commit queue: the leader that drains the queue stamps every
+/// request under one guard acquisition and hands each its commit
+/// timestamp through `done`.
 struct CommitReq {
-    /// Distinct touched tables (merged per table) with the rids the
-    /// transaction created and ended.
+    /// Touched tables with the rids the transaction created and ended
+    /// (a table may appear more than once).
     writes: Vec<PendingStamps>,
     /// The committing transaction's id (its pending-stamp mark).
     txid: u64,
@@ -388,10 +400,10 @@ pub struct Database {
     vectorized_ops: AtomicU64,
     vectorized_fallbacks: AtomicU64,
     /// Version shards per table, fixed at database creation and applied
-    /// to every table as it is registered. `1` reproduces the single-
-    /// arena behaviour bit-for-bit (the `PGFMU_TABLE_SHARDS=1` escape
-    /// hatch); larger values give disjoint-row writers independent
-    /// shard locks.
+    /// to every table as it is registered. Only the arena layout depends
+    /// on it: every shard count runs the same append and commit code,
+    /// `1` being a one-arena layout and larger values giving disjoint-row
+    /// writers independent shard locks.
     table_shards: usize,
     /// Times a writer's home shard was contended and it had to block
     /// (the fast path is an uncontended `try_write`).
@@ -416,7 +428,7 @@ impl Database {
     /// Create a database with the built-in function set registered.
     /// Tables are sharded `next_pow2(min(cores, 16))` ways, overridable
     /// with `PGFMU_TABLE_SHARDS` (clamped to a power of two in
-    /// `[1, 64]`; `1` reproduces the unsharded behaviour exactly).
+    /// `[1, 64]`; `1` is a one-arena layout over the same write path).
     pub fn new() -> Self {
         Self::with_table_shards(Self::default_table_shards())
     }
@@ -434,9 +446,11 @@ impl Database {
     }
 
     /// Create a database whose tables are sharded `shards` ways
-    /// (rounded up to a power of two, clamped to `[1, 64]`). Tests and
-    /// benchmarks use this instead of the environment variable so
-    /// parallel test binaries don't race on `set_var`.
+    /// (rounded up to a power of two, clamped to `[1, 64]`). The count
+    /// picks the arena layout only; appends and commits take the same
+    /// path at any value. Tests and benchmarks use this instead of the
+    /// environment variable so parallel test binaries don't race on
+    /// `set_var`.
     pub fn with_table_shards(shards: usize) -> Self {
         let db = Database {
             tables: RwLock::new(HashMap::new()),
@@ -549,57 +563,68 @@ impl Database {
     }
 
     /// Bulk-insert rows through the coercion path (loader convenience).
-    /// Atomic: every row is validated before any is stored. Honors an
-    /// open transaction on the calling thread.
-    pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
+    /// Atomic: every row is validated — types and unique indexes — before
+    /// any is stored. Honors an open transaction on the calling thread.
+    pub fn insert_rows(&self, table: &str, mut rows: Vec<Row>) -> Result<usize> {
         let handle = self.get_table(table)?;
         let txn = self.write_txn();
         if let WriteTxn::Txn { .. } = txn {
             self.txn_pin(&handle);
         }
-        if self.table_shards > 1 {
-            // Concurrent append: coerce under the shared table guard,
-            // then take only the calling thread's home-shard lock so
-            // disjoint-row writers proceed in parallel. The auto-commit
-            // stamp is allocated *while the shard lock is held*, so any
-            // snapshot at or above it blocks on this shard until every
-            // row of the statement is in — no torn statement.
-            let guard = handle.read();
-            let coerced: Result<Vec<Row>> = rows.into_iter().map(|r| guard.coerce_row(r)).collect();
-            let coerced = coerced?;
-            let n = coerced.len();
+        let mut created = Vec::new();
+        self.append_rows(&handle, &mut rows, Ok, txn, &mut created)?;
+        Ok(created.len())
+    }
+
+    /// Append rows to a table — the one write path behind every SQL
+    /// `INSERT` and [`Database::insert_rows`]. Drains `rows` (so a
+    /// streaming caller reuses one buffer) and pushes the new rids onto
+    /// `created`.
+    ///
+    /// 1. Every row is `map`ped and coerced under the outer read guard
+    ///    before any is stored, so an error leaves the table untouched.
+    /// 2. Without a unique index the rows go to the calling thread's home
+    ///    shard under that shard's lock alone, so disjoint-row writers
+    ///    proceed in parallel. With one, the outer write guard is taken
+    ///    so `check_unique` sees a stable table. Either way the
+    ///    auto-commit stamp is allocated while the lock is held (see
+    ///    [`Database::commit_ts`]): a snapshot at or above it waits until
+    ///    every row is in.
+    /// 3. Rows stamped `UNCOMMITTED | txid` are logged in the calling
+    ///    thread's open transaction, if it has one. A streamed
+    ///    auto-commit `INSERT … SELECT` stamps with its own txid and has
+    ///    none.
+    pub(crate) fn append_rows(
+        &self,
+        handle: &Arc<RwLock<Table>>,
+        rows: &mut Vec<Row>,
+        map: impl Fn(Row) -> Result<Row>,
+        txn: WriteTxn,
+        created: &mut Vec<usize>,
+    ) -> Result<()> {
+        let guard = handle.read();
+        for r in rows.iter_mut() {
+            *r = guard.coerce_row(map(std::mem::take(r))?)?;
+        }
+        let start = created.len();
+        if guard.has_unique_index() {
+            drop(guard);
+            let mut guard = handle.write();
+            guard.check_unique(rows, &[], txn.txid())?;
+            let begin = self.write_stamp(txn);
+            created.extend(rows.drain(..).map(|r| guard.push_version(begin, r)));
+        } else {
             let mut append = guard.begin_append();
             if append.waited() {
                 self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
             }
-            let stamp = match txn {
-                WriteTxn::Auto => self.commit_ts(),
-                WriteTxn::Txn { txid } => UNCOMMITTED | txid,
-            };
-            let created: Vec<usize> = coerced.into_iter().map(|r| append.push(stamp, r)).collect();
-            drop(append);
-            drop(guard);
-            if let WriteTxn::Txn { .. } = txn {
-                self.txn_record_write(&handle, created, Vec::new());
-            }
-            return Ok(n);
+            let begin = self.write_stamp(txn);
+            created.extend(rows.drain(..).map(|r| append.push(begin, r)));
         }
-        let mut guard = handle.write();
-        let coerced: Result<Vec<Row>> = rows.into_iter().map(|r| guard.coerce_row(r)).collect();
-        let coerced = coerced?;
-        let n = coerced.len();
-        let stamp = match txn {
-            WriteTxn::Auto => self.commit_ts(),
-            WriteTxn::Txn { txid } => UNCOMMITTED | txid,
-        };
-        let created: Vec<usize> = coerced
-            .into_iter()
-            .map(|r| guard.push_version(stamp, r))
-            .collect();
         if let WriteTxn::Txn { .. } = txn {
-            self.txn_record_write(&handle, created, Vec::new());
+            self.txn_record_write(handle, &created[start..], &[]);
         }
-        Ok(n)
+        Ok(())
     }
 
     // ---- indexes and planner statistics -------------------------------------
@@ -1064,6 +1089,18 @@ impl Database {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
+    /// The begin/end stamp for one statement's versioned writes: a fresh
+    /// commit timestamp in auto-commit (allocate it while holding the
+    /// lock — see [`Database::commit_ts`]), or the transaction's
+    /// `UNCOMMITTED | txid` marker, resolved later by group commit or
+    /// rollback.
+    pub(crate) fn write_stamp(&self, txn: WriteTxn) -> u64 {
+        match txn {
+            WriteTxn::Auto => self.commit_ts(),
+            WriteTxn::Txn { txid } => UNCOMMITTED | txid,
+        }
+    }
+
     /// True when nothing in the system can ever read below `cts`: no
     /// transaction has a snapshot pinned before it. Together with the
     /// written table being unpinned (no live cursors — checked by the
@@ -1139,21 +1176,36 @@ impl Database {
     }
 
     /// Append one statement's worth of pending writes to this thread's
-    /// undo log.
+    /// undo log (no-op without an open transaction). Consecutive writes
+    /// to the same table share one entry — a streamed `INSERT … SELECT`
+    /// records row by row — which rollback replays identically, since
+    /// reverting an end and reverting an insert touch different stamps.
     pub(crate) fn txn_record_write(
         &self,
         handle: &Arc<RwLock<Table>>,
-        created: Vec<usize>,
-        ended: Vec<usize>,
+        created: &[usize],
+        ended: &[usize],
     ) {
-        if created.is_empty() && ended.is_empty() {
+        if (created.is_empty() && ended.is_empty()) || self.txn_count.load(Ordering::SeqCst) == 0 {
             return;
         }
         if let Some(t) = self.txns.lock().get_mut(&std::thread::current().id()) {
+            if let Some(UndoEntry::Write {
+                handle: h,
+                created: c,
+                ended: e,
+            }) = t.undo.last_mut()
+            {
+                if Arc::ptr_eq(h, handle) {
+                    c.extend_from_slice(created);
+                    e.extend_from_slice(ended);
+                    return;
+                }
+            }
             t.undo.push(UndoEntry::Write {
                 handle: Arc::clone(handle),
-                created,
-                ended,
+                created: created.to_vec(),
+                ended: ended.to_vec(),
             });
         }
     }
@@ -1208,7 +1260,7 @@ impl Database {
     /// open; an aborted transaction rolls back instead (PostgreSQL
     /// behaviour).
     pub(crate) fn commit_txn(&self) -> Result<bool> {
-        let txn = match self.take_txn() {
+        let mut txn = match self.take_txn() {
             Some(t) => t,
             None => return Ok(false),
         };
@@ -1216,61 +1268,42 @@ impl Database {
             self.apply_rollback(txn);
             return Ok(true);
         }
-        // Merge per-statement write entries by table so each guard is
-        // taken once, then hold *all* the guards while allocating the
-        // commit timestamp and stamping (see `commit_ts`).
-        let mut by_table: Vec<PendingStamps> = Vec::new();
-        for entry in &txn.undo {
-            if let UndoEntry::Write {
-                handle,
-                created,
-                ended,
-            } = entry
-            {
-                match by_table.iter_mut().find(|(h, _, _)| Arc::ptr_eq(h, handle)) {
-                    Some((_, c, e)) => {
-                        c.extend_from_slice(created);
-                        e.extend_from_slice(ended);
-                    }
-                    None => by_table.push((Arc::clone(handle), created.clone(), ended.clone())),
-                }
-            }
-        }
-        // A deterministic lock order prevents deadlock between commits.
-        by_table.sort_by_key(|(h, _, _)| Arc::as_ptr(h) as usize);
-        if self.table_shards == 1 {
-            // Unsharded escape hatch: take every touched table's write
-            // guard and stamp directly, exactly the pre-sharding path.
-            let mut guards: Vec<_> = by_table.iter().map(|(h, _, _)| h.write()).collect();
-            let cts = self.commit_ts();
-            for (guard, (_, created, ended)) in guards.iter_mut().zip(&by_table) {
-                for &i in created {
-                    guard.commit_begin(i, txn.txid, cts);
-                }
-                for &i in ended {
-                    guard.commit_end(i, txn.txid, cts);
-                }
-            }
-        } else if !by_table.is_empty() {
-            let req = Arc::new(CommitReq {
-                writes: by_table,
-                txid: txn.txid,
-                done: std::sync::Mutex::new(None),
-                cv: std::sync::Condvar::new(),
-            });
-            self.group_commit(req);
-        }
+        // The leader merges the write entries by table and shard.
+        let writes = std::mem::take(&mut txn.undo)
+            .into_iter()
+            .filter_map(|entry| match entry {
+                UndoEntry::Write {
+                    handle,
+                    created,
+                    ended,
+                } => Some((handle, created, ended)),
+                _ => None,
+            })
+            .collect();
+        self.group_commit(writes, txn.txid);
         self.finish_txn(&txn);
         self.txns_committed.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
-    /// Publish a commit request to the group-commit queue and wait until
-    /// a leader has stamped it. Whoever grabs the leader badge drains the
+    /// Commit `txid`'s pending stamps in `writes` under one fresh commit
+    /// timestamp — the only way pending writes are published, for
+    /// `COMMIT` and for a streamed auto-commit `INSERT … SELECT` alike.
+    /// The request joins the group-commit queue and this waits until a
+    /// leader has stamped it. Whoever grabs the leader badge drains the
     /// whole queue; everyone else parks briefly and re-bids for
-    /// leadership on timeout, so a leader exiting between our enqueue and
-    /// its final empty-queue check cannot strand us.
-    fn group_commit(&self, req: Arc<CommitReq>) {
+    /// leadership on timeout, so a leader exiting between our enqueue
+    /// and its final empty-queue check cannot strand us.
+    pub(crate) fn group_commit(&self, writes: Vec<PendingStamps>, txid: u64) {
+        if writes.is_empty() {
+            return;
+        }
+        let req = Arc::new(CommitReq {
+            writes,
+            txid,
+            done: std::sync::Mutex::new(None),
+            cv: std::sync::Condvar::new(),
+        });
         self.commit_queue.lock().push(Arc::clone(&req));
         loop {
             if let Some(_badge) = self.commit_leader.try_lock() {
@@ -1547,17 +1580,6 @@ impl Database {
             self.fleet_workers.load(Ordering::Relaxed),
             self.fleet_task_ns.load(Ordering::Relaxed),
         )
-    }
-
-    /// Version shards per table in this database.
-    pub fn table_shards(&self) -> usize {
-        self.table_shards
-    }
-
-    /// Bump the contended-home-shard counter (a concurrent appender had
-    /// to block for its shard lock).
-    pub(crate) fn note_shard_wait(&self) {
-        self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(shard count, contended shard-lock acquisitions, group-commit
@@ -2348,6 +2370,47 @@ mod tests {
     }
 
     #[test]
+    fn insert_rows_enforces_unique_indexes_at_any_shard_count() {
+        for shards in [1, 8] {
+            let db = Database::with_table_shards(shards);
+            db.execute("CREATE TABLE t (k int, v int)").unwrap();
+            db.execute("CREATE UNIQUE INDEX tk ON t (k)").unwrap();
+            db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+            let err = db
+                .insert_rows("t", vec![vec![Value::Int(1), Value::Int(12)]])
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                db.execute("INSERT INTO t VALUES (1, 11)")
+                    .unwrap_err()
+                    .to_string(),
+                "S={shards}: the loader and SQL reject a duplicate alike"
+            );
+            assert!(
+                err.to_string()
+                    .contains("duplicate key value violates unique constraint \"tk\""),
+                "S={shards}: {err}"
+            );
+            // A batch with one bad row stores none of its rows.
+            let err = db
+                .insert_rows(
+                    "t",
+                    vec![
+                        vec![Value::Int(2), Value::Int(20)],
+                        vec![Value::Int(2), Value::Int(21)],
+                    ],
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("\"tk\""), "S={shards}: {err}");
+            assert_eq!(
+                db.execute("SELECT k, v FROM t").unwrap().rows,
+                vec![vec![Value::Int(1), Value::Int(10)]],
+                "S={shards}: the table is unchanged"
+            );
+        }
+    }
+
+    #[test]
     fn begin_commit_publishes_atomically() {
         let db = setup();
         db.execute("BEGIN").unwrap();
@@ -2582,6 +2645,33 @@ mod tests {
             Value::Int(3),
             "no partial insert survives the failed statement"
         );
+    }
+
+    #[test]
+    fn streamed_insert_select_in_a_transaction_rolls_back() {
+        // Inside a transaction the streamed rows are logged row by row;
+        // ROLLBACK must remove every one of them, and COMMIT publish them
+        // in one group-commit round.
+        let db = Database::new();
+        db.execute("CREATE TABLE t (v int)").unwrap();
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO t SELECT * FROM generate_series(1, 50)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (0)").unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(
+            db.execute("SELECT count(*) FROM t").unwrap().rows[0][0],
+            Value::Int(0)
+        );
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO t SELECT * FROM generate_series(1, 50)")
+            .unwrap();
+        db.execute("COMMIT").unwrap();
+        assert_eq!(
+            db.execute("SELECT count(*), sum(v) FROM t").unwrap().rows[0],
+            vec![Value::Int(50), Value::Float(1275.0)]
+        );
+        assert_eq!(db.shard_stats().2, 1);
     }
 
     #[test]

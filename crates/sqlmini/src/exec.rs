@@ -2068,68 +2068,6 @@ impl Drop for TablePin<'_> {
     }
 }
 
-/// The begin/end stamp for one statement's versioned writes: a fresh
-/// commit timestamp in auto-commit (allocate it while holding the write
-/// guard — see [`Database::commit_ts`]), or the open transaction's
-/// marker, resolved later by COMMIT/ROLLBACK.
-fn write_stamp(db: &Database, txn: WriteTxn) -> u64 {
-    match txn {
-        WriteTxn::Auto => db.commit_ts(),
-        WriteTxn::Txn { txid } => UNCOMMITTED | txid,
-    }
-}
-
-/// The owning transaction id for unique-constraint checks (0 in
-/// auto-commit: every pending version then counts as a conflict).
-fn stmt_txid(txn: WriteTxn) -> u64 {
-    match txn {
-        WriteTxn::Txn { txid } => txid,
-        WriteTxn::Auto => 0,
-    }
-}
-
-/// Concurrent-append fast path for INSERT on a sharded table: under the
-/// outer *read* guard, coerce every row, then take only the calling
-/// thread's home-shard write lock — disjoint-row writers proceed in
-/// parallel. The auto-commit stamp is allocated while the shard lock is
-/// held, so a snapshot at or above it blocks on this one shard until
-/// every row of the statement is in (no torn statement). Returns `false`
-/// — with `rows` untouched — when the table needs the exclusive path
-/// instead: single-shard databases, or unique indexes (whose conflict
-/// checks need a stable view of every shard).
-fn concurrent_insert(
-    db: &Database,
-    handle: &Arc<parking_lot::RwLock<Table>>,
-    ip: &InsertPlan,
-    txn: WriteTxn,
-    rows: &mut Vec<Row>,
-) -> Result<bool> {
-    if db.table_shards() == 1 {
-        return Ok(false);
-    }
-    let guard = handle.read();
-    if guard.has_unique_index() {
-        return Ok(false);
-    }
-    let coerced: Result<Vec<Row>> = std::mem::take(rows)
-        .into_iter()
-        .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-        .collect();
-    let coerced = coerced?;
-    let mut append = guard.begin_append();
-    if append.waited() {
-        db.note_shard_wait();
-    }
-    let begin = write_stamp(db, txn);
-    let created: Vec<usize> = coerced.into_iter().map(|r| append.push(begin, r)).collect();
-    drop(append);
-    drop(guard);
-    if let WriteTxn::Txn { .. } = txn {
-        db.txn_record_write(handle, created, Vec::new());
-    }
-    Ok(true)
-}
-
 fn run_insert<'db>(
     db: &'db Database,
     stmt: &Stmt,
@@ -2152,7 +2090,9 @@ fn run_insert<'db>(
     if let WriteTxn::Txn { .. } = txn {
         db.txn_pin(&handle);
     }
-    let n = match source {
+    let map = |r| map_insert_row(r, ip);
+    let mut created: Vec<usize> = Vec::new();
+    match source {
         InsertSource::Values(rows) => {
             let ctx = Ctx {
                 db,
@@ -2163,38 +2103,14 @@ fn run_insert<'db>(
             let env = Env {
                 bindings: NO_BINDINGS,
             };
-            // Evaluate before taking the guard: VALUES expressions may
+            // Evaluate before taking any guard: VALUES expressions may
             // call UDFs that re-enter the database.
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 let vals: Result<Row> = row.iter().map(|e| eval(&ctx, e, &env, &[])).collect();
                 out.push(vals?);
             }
-            let n = out.len();
-            if !concurrent_insert(db, &handle, ip, txn, &mut out)? {
-                let mut guard = handle.write();
-                let begin = write_stamp(db, txn);
-                // Coerce every row before appending any, so an arity or
-                // type error (or a duplicate, when a unique index exists)
-                // leaves the table untouched.
-                let coerced: Result<Vec<Row>> = out
-                    .into_iter()
-                    .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-                    .collect();
-                let coerced = coerced?;
-                if guard.has_unique_index() {
-                    guard.check_unique(&coerced, &[], stmt_txid(txn))?;
-                }
-                let created: Vec<usize> = coerced
-                    .into_iter()
-                    .map(|r| guard.push_version(begin, r))
-                    .collect();
-                if let WriteTxn::Txn { .. } = txn {
-                    drop(guard);
-                    db.txn_record_write(&handle, created, Vec::new());
-                }
-            }
-            n
+            db.append_rows(&handle, &mut out, map, txn, &mut created)?;
         }
         InsertSource::Select(sel) => {
             // The source runs with `lazy = false`, so a zero-copy static
@@ -2211,112 +2127,59 @@ fn run_insert<'db>(
                 PhysicalPlan::DynamicSelect => run_dynamic_select(db, sel, params)?,
                 _ => unreachable!("INSERT source compiles to a SELECT plan"),
             };
-            let mut n = 0usize;
             match src.state {
-                // Fully materialized source: nothing is evaluated per
-                // row anymore, so one write guard covers the whole batch
-                // instead of a lock round-trip per row. Coercion and
-                // append run in one pass; an error truncates the
-                // appended tail, leaving the table untouched.
+                // Fully materialized source: one append for the batch.
                 RowsState::Done(it) => {
-                    let mut rows: Vec<Row> = it.collect();
-                    n = rows.len();
-                    if !concurrent_insert(db, &handle, ip, txn, &mut rows)? {
-                        let mut guard = handle.write();
-                        let begin = write_stamp(db, txn);
-                        let coerced: Result<Vec<Row>> = rows
-                            .into_iter()
-                            .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-                            .collect();
-                        let coerced = coerced?;
-                        if guard.has_unique_index() {
-                            guard.check_unique(&coerced, &[], stmt_txid(txn))?;
-                        }
-                        let created: Vec<usize> = coerced
-                            .into_iter()
-                            .map(|r| guard.push_version(begin, r))
-                            .collect();
-                        if let WriteTxn::Txn { .. } = txn {
-                            drop(guard);
-                            db.txn_record_write(&handle, created, Vec::new());
-                        }
-                    }
+                    db.append_rows(&handle, &mut it.collect(), map, txn, &mut created)?;
                 }
                 // Lazy sources still evaluate expressions (possibly
-                // re-entrant UDFs) per row: the write lock stays scoped
-                // to each append so those evaluations run lock-free. The
-                // appends are marked uncommitted under a transaction id
-                // and stamped only when the stream finishes — an error
-                // mid-stream tombstones what was inserted, so the
-                // statement is atomic despite releasing the lock.
+                // re-entrant UDFs) per row, so each row is appended on
+                // its own and no lock is held between rows. The rows go
+                // in pending under a transaction id — the statement's
+                // own in auto-commit — and are published through group
+                // commit only when the stream finishes; an error
+                // mid-stream tombstones what was appended, so the
+                // statement is atomic despite releasing its locks.
                 state => {
                     let src = Rows {
                         columns: src.columns,
                         state,
                     };
-                    let _pin = match txn {
-                        // Version indices survive guard releases only
-                        // while the table is pinned against compaction.
-                        WriteTxn::Auto => Some(TablePin::new(&handle)),
-                        WriteTxn::Txn { .. } => None, // pinned via the txn
+                    // Rids survive lock releases only while the table is
+                    // pinned against compaction (`txn_pin` above did so
+                    // for a transaction).
+                    let (_pin, txid) = match txn {
+                        WriteTxn::Auto => (Some(TablePin::new(&handle)), db.next_txid()),
+                        WriteTxn::Txn { txid } => (None, txid),
                     };
-                    let txid = match txn {
-                        WriteTxn::Txn { txid } => txid,
-                        WriteTxn::Auto => db.next_txid(),
-                    };
-                    let mut created: Vec<usize> = Vec::new();
-                    let mut err = None;
+                    let pending = WriteTxn::Txn { txid };
+                    let mut buf = Vec::with_capacity(1);
                     for r in src {
-                        let step = r.and_then(|row| map_insert_row(row, ip)).and_then(|full| {
-                            let mut guard = handle.write();
-                            let full = guard.coerce_row(full)?;
-                            // Streamed rows check one by one: earlier
-                            // appends of this statement are pending under
-                            // the same txid, so in-stream duplicates
-                            // conflict exactly like committed ones.
-                            if guard.has_unique_index() {
-                                guard.check_unique(std::slice::from_ref(&full), &[], txid)?;
-                            }
-                            created.push(guard.push_version(UNCOMMITTED | txid, full));
-                            Ok(())
+                        let step = r.and_then(|row| {
+                            buf.push(row);
+                            db.append_rows(&handle, &mut buf, map, pending, &mut created)
                         });
-                        match step {
-                            Ok(()) => n += 1,
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    match (err, txn) {
-                        (Some(e), _) => {
-                            // Undo this statement's own appends; under an
-                            // explicit transaction they were never
-                            // recorded in the undo log, so no double
-                            // revert on ROLLBACK.
+                        if let Err(e) = step {
+                            // Reverting is idempotent, so the copies
+                            // an open transaction logged replay as
+                            // no-ops on ROLLBACK.
                             let mut guard = handle.write();
                             for &i in &created {
                                 guard.revert_insert(i, txid);
                             }
                             return Err(e);
                         }
-                        (None, WriteTxn::Auto) => {
-                            let mut guard = handle.write();
-                            let cts = db.commit_ts();
-                            for &i in &created {
-                                guard.commit_begin(i, txid, cts);
-                            }
-                        }
-                        (None, WriteTxn::Txn { .. }) => {
-                            db.txn_record_write(&handle, created, Vec::new());
-                        }
                     }
+                    let n = created.len();
+                    if let WriteTxn::Auto = txn {
+                        db.group_commit(vec![(Arc::clone(&handle), created, Vec::new())], txid);
+                    }
+                    return Ok(count_result(n as i64));
                 }
             }
-            n
         }
-    };
-    Ok(count_result(n as i64))
+    }
+    Ok(count_result(created.len() as i64))
 }
 
 /// UPDATE: evaluate the predicate and SET expressions against each
@@ -2394,7 +2257,7 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
                     r
                 })
                 .collect();
-            guard.check_unique(&new_rows, &superseded, stmt_txid(txn))?;
+            guard.check_unique(&new_rows, &superseded, txn.txid())?;
         }
         // Pass 2: end each hit version and append its successor — or,
         // when no snapshot below the fresh commit timestamp is live and
@@ -2434,7 +2297,7 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
                     created.push(guard.push_version(stamp, new_row));
                 }
                 drop(guard);
-                db.txn_record_write(&handle, created, ended);
+                db.txn_record_write(&handle, &created, &ended);
             }
         }
         return Ok(count_result(n));
@@ -2489,9 +2352,9 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
     if guard.has_unique_index() && !pending.is_empty() {
         let superseded: Vec<usize> = pending.iter().map(|&(vi, _)| vi).collect();
         let new_rows: Vec<Row> = pending.iter().map(|(_, r)| r.clone()).collect();
-        guard.check_unique(&new_rows, &superseded, stmt_txid(txn))?;
+        guard.check_unique(&new_rows, &superseded, txn.txid())?;
     }
-    let stamp = write_stamp(db, txn);
+    let stamp = db.write_stamp(txn);
     let mut created = Vec::with_capacity(pending.len());
     let mut ended = Vec::with_capacity(pending.len());
     for (vi, new_row) in pending {
@@ -2503,7 +2366,7 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
         WriteTxn::Auto => db.maybe_gc(&mut guard),
         WriteTxn::Txn { .. } => {
             drop(guard);
-            db.txn_record_write(&handle, created, ended);
+            db.txn_record_write(&handle, &created, &ended);
         }
     }
     Ok(count_result(n))
@@ -2572,7 +2435,7 @@ fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<
                     guard.end_version(vi, UNCOMMITTED | txid);
                 }
                 drop(guard);
-                db.txn_record_write(&handle, Vec::new(), hits);
+                db.txn_record_write(&handle, &[], &hits);
             }
         }
         return Ok(count_result(n));
@@ -2612,7 +2475,7 @@ fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<
             return Err(serialize_conflict());
         }
     }
-    let stamp = write_stamp(db, txn);
+    let stamp = db.write_stamp(txn);
     for &vi in &hits {
         guard.end_version(vi, stamp);
     }
@@ -2620,7 +2483,7 @@ fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<
         WriteTxn::Auto => db.maybe_gc(&mut guard),
         WriteTxn::Txn { .. } => {
             drop(guard);
-            db.txn_record_write(&handle, Vec::new(), hits);
+            db.txn_record_write(&handle, &[], &hits);
         }
     }
     Ok(count_result(n))

@@ -444,9 +444,7 @@ fn conflict_live(v: &VersionedRow, txid: u64) -> bool {
 /// Lock discipline: shard locks are only ever acquired by a thread that
 /// holds the table's outer `RwLock` guard (read or write), and always in
 /// ascending shard order when more than one is taken. Exclusive (`&mut`)
-/// access reaches arenas through `get_mut`, which takes no lock at all —
-/// so the single-shard configuration pays nothing over the unsharded
-/// design.
+/// access reaches arenas through `get_mut`, which takes no lock at all.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
@@ -589,16 +587,6 @@ impl Table {
     pub(crate) fn end_version(&mut self, rid: Rid, stamp: u64) {
         self.arena_of(rid).end(rid_pos(rid), stamp);
         *self.mod_count.get_mut() += 1;
-    }
-
-    /// Commit a pending insert: `UNCOMMITTED | txid` → `cts`.
-    pub(crate) fn commit_begin(&mut self, rid: Rid, txid: u64, cts: u64) {
-        self.arena_of(rid).commit_begin(rid_pos(rid), txid, cts);
-    }
-
-    /// Commit a pending delete: `UNCOMMITTED | txid` → `cts`.
-    pub(crate) fn commit_end(&mut self, rid: Rid, txid: u64, cts: u64) {
-        self.arena_of(rid).commit_end(rid_pos(rid), txid, cts);
     }
 
     /// Undo a pending delete: the version is current again.
@@ -1313,7 +1301,7 @@ mod tests {
         assert_eq!(t.view().visible(Snapshot { ts: 6, txid: 0 }).count(), 2);
         assert_eq!(t.view().visible(Snapshot { ts: 7, txid: 0 }).count(), 1);
         // Own pending delete hides the row from its owner only.
-        t.commit_begin(j, 9, 8);
+        t.lock_shards(&[0]).commit_begin(j, 9, 8);
         t.end_version(j, UNCOMMITTED | 11);
         assert_eq!(t.view().visible(Snapshot { ts: 8, txid: 11 }).count(), 1);
         assert_eq!(t.view().visible(Snapshot { ts: 8, txid: 0 }).count(), 2);

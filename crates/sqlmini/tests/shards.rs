@@ -1,9 +1,11 @@
 //! Sharded version storage: multi-writer stress over one table, cursor
 //! pinning at shard granularity, and the S=1-vs-S>1 equivalence
-//! contract — a single-threaded session must observe *byte-identical*
-//! results (including row order) whatever the shard count, because
-//! home-shard routing keeps one thread's appends in one arena. Run in
-//! release mode by CI's concurrency step and swept by the
+//! contract. The shard count only picks the arena layout — S=1 is a
+//! one-arena layout over the same append and commit code — so a
+//! single-threaded session must observe *byte-identical* results
+//! (including row order and error text) whatever the shard count,
+//! because home-shard routing keeps one thread's appends in one arena.
+//! Run in release mode by CI's concurrency step and swept by the
 //! `PGFMU_TABLE_SHARDS` matrix.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,11 +149,49 @@ fn mid_stream_vacuum_never_disturbs_the_cursor_snapshot() {
     );
 }
 
+/// Every shard count commits both a transaction and a streamed
+/// auto-commit `INSERT … SELECT` through one group-commit round each.
+#[test]
+fn commits_go_through_group_commit_at_one_shard() {
+    let db = Database::with_table_shards(1);
+    db.execute("CREATE TABLE t (k int)").unwrap();
+    let rounds = || {
+        db.execute("SELECT value FROM pgfmu_stats() WHERE stat = 'group_commits'")
+            .unwrap()
+            .rows[0][0]
+            .as_i64()
+            .unwrap()
+    };
+    let r0 = rounds();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("COMMIT").unwrap();
+    assert_eq!(rounds(), r0 + 1, "COMMIT is one group-commit round");
+    db.execute("INSERT INTO t SELECT * FROM generate_series(2, 9)")
+        .unwrap();
+    assert_eq!(
+        rounds(),
+        r0 + 2,
+        "a streamed auto-commit INSERT … SELECT is one group-commit round"
+    );
+    assert_eq!(
+        db.execute("SELECT count(*) FROM t").unwrap().rows[0][0],
+        Value::Int(9)
+    );
+}
+
 /// One step of the equivalence script: the same statement is applied to
 /// the S=1 and the S=8 database.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<i64>),
+    /// `INSERT … SELECT` streamed from `generate_series(lo, hi)`.
+    InsertSeries {
+        lo: i64,
+        hi: i64,
+    },
+    /// One [`Database::insert_rows`] batch.
+    Load(Vec<i64>),
     Update {
         mul: i64,
         lo: i64,
@@ -177,6 +217,8 @@ fn arb_op() -> BoxedStrategy<Op> {
             hi: lo + w,
         }),
         (0i64..400, 1i64..60).prop_map(|(lo, w)| Op::Delete { lo, hi: lo + w }),
+        (0i64..400, 0i64..8).prop_map(|(lo, w)| Op::InsertSeries { lo, hi: lo + w }),
+        proptest::collection::vec(0i64..400, 1..8).prop_map(Op::Load),
         (proptest::collection::vec(0i64..400, 1..5), 0i64..2).prop_map(|(keys, commit)| Op::Txn {
             keys,
             commit: commit == 1,
@@ -185,36 +227,59 @@ fn arb_op() -> BoxedStrategy<Op> {
     .boxed()
 }
 
-fn apply(db: &Database, ops: &[Op]) {
+/// Apply the script, returning each statement's outcome — `ok` or the
+/// error text — so failures are compared as well as final rows.
+fn apply(db: &Database, ops: &[Op]) -> Vec<String> {
     let ins = db.prepare("INSERT INTO e VALUES ($1, $2)").unwrap();
+    let mut out = Vec::new();
+    let mut note = |r: pgfmu_sqlmini::Result<()>| {
+        out.push(r.map_or_else(|e| e.to_string(), |()| "ok".into()));
+    };
     for op in ops {
         match op {
             Op::Insert(keys) => {
                 for &k in keys {
-                    ins.query(params![k, 10 * k]).unwrap();
+                    note(ins.query(params![k, 10 * k]).map(drop));
                 }
             }
-            Op::Update { mul, lo, hi } => {
+            Op::InsertSeries { lo, hi } => note(
+                db.query(
+                    "INSERT INTO e SELECT g, 10 * g FROM generate_series($1, $2) AS g",
+                    params![*lo, *hi],
+                )
+                .map(drop),
+            ),
+            Op::Load(keys) => note(
+                db.insert_rows(
+                    "e",
+                    keys.iter()
+                        .map(|&k| vec![Value::Int(k), Value::Int(10 * k)])
+                        .collect(),
+                )
+                .map(drop),
+            ),
+            Op::Update { mul, lo, hi } => note(
                 db.query(
                     "UPDATE e SET v = v * $1 WHERE k >= $2 AND k < $3",
                     params![*mul, *lo, *hi],
                 )
-                .unwrap();
-            }
-            Op::Delete { lo, hi } => {
+                .map(drop),
+            ),
+            Op::Delete { lo, hi } => note(
                 db.query("DELETE FROM e WHERE k >= $1 AND k < $2", params![*lo, *hi])
-                    .unwrap();
-            }
+                    .map(drop),
+            ),
             Op::Txn { keys, commit } => {
                 db.execute("BEGIN").unwrap();
                 for &k in keys {
-                    ins.query(params![k, 10 * k]).unwrap();
+                    note(ins.query(params![k, 10 * k]).map(drop));
                 }
                 db.execute(if *commit { "COMMIT" } else { "ROLLBACK" })
                     .unwrap();
             }
         }
     }
+    out
 }
 
 /// Everything a session can observe, in raw scan order: un-ORDERed
@@ -253,21 +318,33 @@ fn observe(db: &Database) -> Vec<Vec<Value>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The shard-count escape hatch is invisible to a single-threaded
-    /// session: the same DML script produces byte-identical observations
+    /// The shard count is invisible to a single-threaded session: the
+    /// same DML script — row, streamed and loader inserts, updates,
+    /// deletes, transactions — produces byte-identical observations
     /// (including raw scan order) at S=1 and S=8, through rollbacks,
-    /// index probes and a final vacuum.
+    /// index probes and a final vacuum. With a unique index on `k` the
+    /// script's duplicate inserts fail, and they must fail with the same
+    /// error text at the same statements.
     #[test]
     fn single_threaded_session_is_identical_at_any_shard_count(
         ops in proptest::collection::vec(arb_op(), 1..12),
+        unique in 0i64..2,
     ) {
         let one = Database::with_table_shards(1);
         let eight = Database::with_table_shards(8);
         for db in [&one, &eight] {
             db.execute("CREATE TABLE e (k int, v int)").unwrap();
+            if unique == 1 {
+                db.execute("CREATE UNIQUE INDEX e_uk ON e (k)").unwrap();
+            }
         }
-        apply(&one, &ops);
-        apply(&eight, &ops);
+        let outcomes = apply(&one, &ops);
+        prop_assert!(
+            unique == 1 || outcomes.iter().all(|o| o == "ok"),
+            "without a unique index every statement succeeds: {:?}",
+            outcomes
+        );
+        prop_assert_eq!(outcomes, apply(&eight, &ops));
         prop_assert_eq!(observe(&one), observe(&eight));
         one.vacuum();
         eight.vacuum();
