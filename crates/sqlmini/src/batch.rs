@@ -6,7 +6,9 @@
 //! pruned columns into typed vectors — `f64` / `i64` / `bool` columns
 //! plus text columns that *borrow* `&str` from the rows, so filling a
 //! batch performs no string allocation. A validity bitmap tracks NULLs
-//! per column.
+//! per column. A hash join feeding an aggregate does the same for two
+//! tables: [`hash_join_pairs`] matches their borrowed rows on typed key
+//! columns and [`Batch::fill_joined`] fills one batch over the pairs.
 //!
 //! Every kernel returns [`VResult`]: `Err(Fallback)` means "this batch
 //! cannot be reproduced byte-identically on the typed path" — an
@@ -257,6 +259,152 @@ impl<'a> Batch<'a> {
             len: rows.len(),
         })
     }
+
+    /// Fill the batch of a hash join's output: lane `i` joins
+    /// `left.rows[pairs.0[i]]` with `right.rows[pairs.1[i]]`, and `cols`
+    /// is indexed by the pruned concatenated slot (the left table's used
+    /// columns, then the right's) — the layout the plan's expressions
+    /// address. Only `slots` are filled; text lanes still borrow.
+    pub(crate) fn fill_joined(
+        left: &JoinSide<'_, 'a>,
+        right: &JoinSide<'_, 'a>,
+        pairs: &(Vec<u32>, Vec<u32>),
+        slots: &[usize],
+    ) -> VResult<Batch<'a>> {
+        let pick = |side: &JoinSide<'_, 'a>, lanes: &[u32]| -> Vec<&'a Row> {
+            lanes.iter().map(|&i| side.rows[i as usize]).collect()
+        };
+        let picked = [pick(left, &pairs.0), pick(right, &pairs.1)];
+        let width = left.used.len() + right.used.len();
+        let mut cols: Vec<Option<ColVec<'a>>> = Vec::with_capacity(width);
+        cols.resize_with(width, || None);
+        for &slot in slots {
+            let (side, rows, col) = if slot < left.used.len() {
+                (left, &picked[0], slot)
+            } else {
+                (right, &picked[1], slot - left.used.len())
+            };
+            *cols.get_mut(slot).ok_or(Fallback)? = Some(side.col(col, rows)?);
+        }
+        Ok(Batch {
+            cols,
+            len: pairs.0.len(),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hash equi-join
+// ---------------------------------------------------------------------------
+
+/// One input of a vectorized hash join: its schema, the full-layout
+/// columns the statement reads (in pruned order), and its visible rows,
+/// borrowed under the table read guard.
+pub(crate) struct JoinSide<'s, 'a> {
+    pub(crate) schema: &'s Schema,
+    pub(crate) used: &'s [usize],
+    pub(crate) rows: &'s [&'a Row],
+}
+
+impl<'a> JoinSide<'_, 'a> {
+    /// This side's column `col` (its own pruned column index), typed
+    /// over `rows`.
+    fn col(&self, col: usize, rows: &[&'a Row]) -> VResult<ColVec<'a>> {
+        let full = *self.used.get(col).ok_or(Fallback)?;
+        let dtype = self.schema.columns.get(full).ok_or(Fallback)?.dtype;
+        fill_col(dtype, rows, full)
+    }
+}
+
+/// Hash equi-join over typed key columns: build over the right side's
+/// keys, probe with the left, and return the matching `(left lane,
+/// right lane)` pairs in exactly the scalar hash join's emission order —
+/// left-major, each left row's right matches in scan order — with NULL
+/// keys never joining. Keys hash as `i64` (ints, timestamps, intervals
+/// of one kind), `bool` or borrowed `&str`; float keys (NaN, `-0.0`) and
+/// any other pairing fall back.
+pub(crate) fn hash_join_pairs(
+    left: &JoinSide<'_, '_>,
+    left_key: usize,
+    right: &JoinSide<'_, '_>,
+    right_key: usize,
+) -> VResult<(Vec<u32>, Vec<u32>)> {
+    if left.rows.len() > u32::MAX as usize || right.rows.len() > u32::MAX as usize {
+        return Err(Fallback);
+    }
+    let pairs = match (
+        left.col(left_key, left.rows)?,
+        right.col(right_key, right.rows)?,
+    ) {
+        (
+            ColVec::I64 {
+                kind: lk,
+                data: ld,
+                valid: lv,
+            },
+            ColVec::I64 {
+                kind: rk,
+                data: rd,
+                valid: rv,
+            },
+        ) if lk == rk => probe(&ld, &lv, &rd, &rv),
+        (
+            ColVec::Bool {
+                data: ld,
+                valid: lv,
+            },
+            ColVec::Bool {
+                data: rd,
+                valid: rv,
+            },
+        ) => probe(&ld, &lv, &rd, &rv),
+        (
+            ColVec::Text {
+                data: ld,
+                valid: lv,
+            },
+            ColVec::Text {
+                data: rd,
+                valid: rv,
+            },
+        ) => probe(&ld, &lv, &rd, &rv),
+        _ => return Err(Fallback),
+    };
+    // Batch lanes are `u32` selection entries.
+    if pairs.0.len() > u32::MAX as usize {
+        return Err(Fallback);
+    }
+    Ok(pairs)
+}
+
+fn probe<K: Copy + Eq + std::hash::Hash>(
+    left: &[K],
+    left_valid: &Validity,
+    right: &[K],
+    right_valid: &Validity,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+    for (i, k) in right.iter().enumerate() {
+        if right_valid.is_valid(i) {
+            table.entry(*k).or_default().push(i as u32);
+        }
+    }
+    let (mut lp, mut rp) = (
+        Vec::with_capacity(left.len()),
+        Vec::with_capacity(left.len()),
+    );
+    for (i, k) in left.iter().enumerate() {
+        if !left_valid.is_valid(i) {
+            continue;
+        }
+        if let Some(matches) = table.get(k) {
+            for &r in matches {
+                lp.push(i as u32);
+                rp.push(r);
+            }
+        }
+    }
+    (lp, rp)
 }
 
 fn fill_col<'a>(dtype: DataType, rows: &[&'a Row], slot: usize) -> VResult<ColVec<'a>> {
@@ -952,6 +1100,20 @@ pub(crate) fn grouped_fold(
     if keys.is_empty() {
         key_rows.push(Vec::new());
         gids.resize(n, 0);
+    } else if let [k @ ColVec::Text { data, valid }] = keys {
+        // Single text key: hash the borrowed `&str` (no per-lane String);
+        // `None` is the one NULL group, as with `KeyAtom::Null`.
+        let mut map: HashMap<Option<&str>, u32> = HashMap::new();
+        for (i, &s) in data.iter().enumerate().take(n) {
+            let gid = *map
+                .entry(valid.is_valid(i).then_some(s))
+                .or_insert_with(|| {
+                    let g = key_rows.len() as u32;
+                    key_rows.push(vec![k.value_at(i)]);
+                    g
+                });
+            gids.push(gid);
+        }
     } else if keys.len() == 1 {
         // Single-key specialization: no per-lane Vec allocation.
         let k = &keys[0];

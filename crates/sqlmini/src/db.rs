@@ -792,13 +792,15 @@ impl Database {
         self.schema_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Count one column batch materialized from a zero-copy scan.
+    /// Count one column batch materialized from a zero-copy scan or
+    /// from a vectorized hash join's matched pairs.
     pub(crate) fn note_batch_filled(&self) {
         self.batches_filled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one vectorized operator execution (a grouped/ungrouped
-    /// aggregate fold, a single-key index sort, or a top-K heap run).
+    /// aggregate fold — over one table or a hash join — a single-key
+    /// index sort, or a top-K heap run).
     pub(crate) fn note_vectorized_op(&self) {
         self.vectorized_ops.fetch_add(1, Ordering::Relaxed);
     }
@@ -829,7 +831,8 @@ impl Database {
         }
     }
 
-    /// Count one hash-join execution.
+    /// Count one hash-join execution (once per statement, vectorized or
+    /// not).
     pub(crate) fn note_hash_join(&self) {
         self.hash_joins.fetch_add(1, Ordering::Relaxed);
     }
@@ -1613,10 +1616,11 @@ impl Database {
     /// A *zero-copy* scan ran directly over the table's rows under its
     /// guard, materializing only the statement's surviving output — the
     /// executor picks it per plan whenever a single-table statement's
-    /// scan-side expressions cannot re-enter the database. Everything
-    /// else (multi-table joins, re-entrant expressions, dynamic FROM
-    /// items) counts as a snapshot scan. The same numbers are queryable
-    /// from SQL via `pgfmu_stats()`:
+    /// scan-side expressions cannot re-enter the database — and each
+    /// side of a vectorized hash join, which folds borrowed rows under
+    /// both guards. Everything else (other multi-table joins, re-entrant
+    /// expressions, dynamic FROM items) counts as a snapshot scan. The
+    /// same numbers are queryable from SQL via `pgfmu_stats()`:
     ///
     /// ```
     /// use pgfmu_sqlmini::{Database, Value};

@@ -41,11 +41,11 @@ use crate::decode::NamedRows;
 use crate::error::{Result, SqlError};
 use crate::plan::{
     AggCall, AggOp, Binding, DmlPlan, Env, GroupPlan, HashJoin, InsertPlan, PhysicalPlan, PlanFn,
-    SelectOps, ZeroScan, ZeroScanKind,
+    SelectOps, StaticSelectPlan, ZeroScan, ZeroScanKind,
 };
 use crate::table::{
-    rid_pos, rid_shard, Column, QueryResult, Row, Schema, Snapshot, Table, TableView, LIVE,
-    UNCOMMITTED,
+    project_rows, rid_pos, rid_shard, Column, QueryResult, Row, Schema, Snapshot, Table, TableView,
+    LIVE, UNCOMMITTED,
 };
 use crate::value::Value;
 
@@ -1192,55 +1192,82 @@ fn cross_join(rows: Vec<Row>, trows: Vec<Row>) -> Vec<Row> {
     next
 }
 
-/// Scan the base tables of a static plan into the joined row set,
-/// re-checking each table's schema against the plan under the same guard
-/// the rows are snapshotted from (so `Slot` indices stay in bounds and
-/// keep pointing at the planned columns). Only the columns the statement
-/// actually reads are cloned — the snapshot is column-pruned.
-fn scan_tables(
-    db: &Database,
-    tables: &[String],
-    schemas: &[Vec<String>],
-    used_cols: &[Vec<usize>],
-    hash_join: Option<&HashJoin>,
-) -> Result<Vec<Row>> {
-    // Hold every distinct table's read guard *simultaneously* (acquired
-    // in pointer order — the commit path's lock order) and load one
-    // snapshot under them: the projections below are point-in-time
-    // consistent across tables, and an in-place writer (see
-    // `run_update`) can never slip a mutation between this snapshot and
-    // the reads it covers.
-    let handles: Vec<_> = tables
+/// What the base-table scan of a static plan hands the pipeline: the
+/// joined row set, or — when a vectorized hash join already folded the
+/// aggregate under the read guards — the aggregate's groups.
+enum Scanned {
+    Rows(Vec<Row>),
+    Groups(Vec<(Vec<Value>, Vec<Value>)>),
+}
+
+/// Scan the base tables of a static plan, re-checking each table's
+/// schema against the plan under the same guard the rows are read from
+/// (so `Slot` indices stay in bounds and keep pointing at the planned
+/// columns). A vectorized hash join folds the borrowed visible rows
+/// straight into groups. Every other plan — and a vectorized join the
+/// kernels decline — snapshots only the columns the statement reads,
+/// then joins the snapshots after the guards drop.
+fn scan_tables(ctx: &Ctx<'_>, sp: &StaticSelectPlan) -> Result<Scanned> {
+    let db = ctx.db;
+    let handles: Vec<_> = sp
+        .tables
         .iter()
         .map(|n| db.get_table(n))
         .collect::<Result<Vec<_>>>()?;
-    let mut distinct: Vec<&Arc<parking_lot::RwLock<Table>>> = handles.iter().collect();
-    distinct.sort_by_key(|h| Arc::as_ptr(h) as usize);
-    distinct.dedup_by_key(|h| Arc::as_ptr(h) as usize);
-    let guards: Vec<(usize, parking_lot::RwLockReadGuard<'_, Table>)> = distinct
-        .iter()
-        .map(|h| (Arc::as_ptr(h) as usize, h.read()))
-        .collect();
-    let snap = db.current_snapshot();
-    let mut scanned: Vec<Vec<Row>> = Vec::with_capacity(tables.len());
-    for ((name, planned), (used, handle)) in tables
-        .iter()
-        .zip(schemas)
-        .zip(used_cols.iter().zip(&handles))
-    {
-        let key = Arc::as_ptr(handle) as usize;
-        let (_, guard) = guards
+    let mut scanned: Vec<Vec<Row>> = {
+        // Hold every distinct table's read guard *simultaneously*
+        // (acquired in pointer order — the commit path's lock order) and
+        // load one snapshot under them: the reads below are
+        // point-in-time consistent across tables, and an in-place writer
+        // (see `run_update`) can never slip a mutation between this
+        // snapshot and the reads it covers.
+        let mut distinct: Vec<&Arc<parking_lot::RwLock<Table>>> = handles.iter().collect();
+        distinct.sort_by_key(|h| Arc::as_ptr(h) as usize);
+        distinct.dedup_by_key(|h| Arc::as_ptr(h) as usize);
+        let guards: Vec<(usize, parking_lot::RwLockReadGuard<'_, Table>)> = distinct
             .iter()
-            .find(|(p, _)| *p == key)
-            .expect("every scanned table has a held guard");
-        if !schema_matches(&guard.schema, planned) {
-            return Err(stale_plan(name));
+            .map(|h| (Arc::as_ptr(h) as usize, h.read()))
+            .collect();
+        let snap = db.current_snapshot();
+        // One shard view per distinct table, taken in the same order; a
+        // self-join reads both of its sides through one view.
+        let views: Vec<TableView<'_>> = guards.iter().map(|(_, g)| g.view()).collect();
+        let mut sides: Vec<(&Schema, Vec<&Row>)> = Vec::with_capacity(handles.len());
+        for ((name, planned), handle) in sp.tables.iter().zip(&sp.schemas).zip(&handles) {
+            let key = Arc::as_ptr(handle) as usize;
+            let i = guards
+                .iter()
+                .position(|(p, _)| *p == key)
+                .expect("every scanned table has a held guard");
+            let schema = &guards[i].1.schema;
+            if !schema_matches(schema, planned) {
+                return Err(stale_plan(name));
+            }
+            sides.push((schema, views[i].visible(snap).collect()));
         }
-        let trows = guard.project_rows(used, snap);
-        db.note_scan(trows.len() as u64, false);
-        scanned.push(trows);
-    }
-    if let Some(hj) = hash_join {
+        if let Some(hj) = sp.hash_join.as_ref().filter(|hj| hj.vectorized) {
+            match vec_join_grouped(ctx, sp, hj, &sides) {
+                Ok(groups) => {
+                    // Borrowed sides: both scans ran zero-copy.
+                    for (_, rows) in &sides {
+                        db.note_scan(rows.len() as u64, true);
+                    }
+                    return Ok(Scanned::Groups(groups));
+                }
+                // Re-run the scalar join over the same snapshot below.
+                Err(batch::Fallback) => db.note_vectorized_fallback(),
+            }
+        }
+        sides
+            .iter()
+            .zip(&sp.used_cols)
+            .map(|((_, rows), used)| {
+                db.note_scan(rows.len() as u64, false);
+                project_rows(rows, used)
+            })
+            .collect()
+    };
+    if let Some(hj) = &sp.hash_join {
         debug_assert_eq!(scanned.len(), 2, "hash joins are planned for two tables");
         let right = scanned.pop().expect("two scanned tables");
         let left = scanned.pop().expect("two scanned tables");
@@ -1251,14 +1278,15 @@ fn scan_tables(
             left,
             right,
             hj.left_slot,
-            hj.right_slot - used_cols[0].len(),
-        );
+            hj.right_slot - sp.used_cols[0].len(),
+        )
+        .map(Scanned::Rows);
     }
     let mut rows: Vec<Row> = vec![Vec::new()];
     for trows in scanned {
         rows = cross_join(rows, trows);
     }
-    Ok(rows)
+    Ok(Scanned::Rows(rows))
 }
 
 /// Hash equi-join: build a hash table over the right rows' keys, probe
@@ -1611,13 +1639,8 @@ fn probe_access(
     Ok(view.probe(ordinal, a.space, lo.as_ref(), hi.as_ref()))
 }
 
-/// Execute a static SELECT plan. `lazy` allows the plain zero-copy path
-/// to return an [`MvccScan`] cursor that streams the plan's snapshot in
-/// batches; internal consumers that insert per source row (`INSERT …
-/// SELECT`) pass `false` and get the output materialized up front
-/// instead, so nothing interleaves with their writes.
-/// The slots a zero-scan statement's batch must fill: every slot any of
-/// `exprs` reads, deduplicated.
+/// The slots a statement's batch must fill: every slot any of `exprs`
+/// reads, deduplicated.
 fn batch_slots<'e>(exprs: impl Iterator<Item = &'e Expr>) -> Vec<usize> {
     let mut slots: Vec<usize> = Vec::new();
     {
@@ -1644,30 +1667,86 @@ fn vec_grouped(
     schema: &Schema,
     view: &[&Row],
 ) -> batch::VResult<Vec<(Vec<Value>, Vec<Value>)>> {
-    let db = ctx.db;
-    let slots = batch_slots(
-        z.where_clause
-            .iter()
+    let where_clause = z.where_clause.as_ref();
+    let b = batch::Batch::fill(schema, view, &sweep_slots(where_clause, gp))?;
+    fold_batch(ctx, where_clause, gp, &b)
+}
+
+/// Vectorized hash join feeding an aggregate: join the two sides'
+/// borrowed visible rows on typed key columns, fill one column batch
+/// over the `(left, right)` pairs in the pruned concatenated layout (the
+/// layout `ops` addresses), and fold it like [`vec_grouped`]. The pairs
+/// come in [`hash_join_rows`]'s emission order, so groups and their
+/// first-seen order match the scalar path. `Err(Fallback)` means the
+/// caller must snapshot both sides and run the scalar join and sweep.
+fn vec_join_grouped(
+    ctx: &Ctx<'_>,
+    sp: &StaticSelectPlan,
+    hj: &HashJoin,
+    sides: &[(&Schema, Vec<&Row>)],
+) -> batch::VResult<Vec<(Vec<Value>, Vec<Value>)>> {
+    let (Some(gp), [(ls, lrows), (rs, rrows)]) = (&sp.ops.group, sides) else {
+        return Err(batch::Fallback);
+    };
+    let left = batch::JoinSide {
+        schema: ls,
+        used: &sp.used_cols[0],
+        rows: lrows,
+    };
+    let right = batch::JoinSide {
+        schema: rs,
+        used: &sp.used_cols[1],
+        rows: rrows,
+    };
+    let pairs = batch::hash_join_pairs(
+        &left,
+        hj.left_slot,
+        &right,
+        hj.right_slot - sp.used_cols[0].len(),
+    )?;
+    let where_clause = sp.ops.where_clause.as_ref();
+    let b = batch::Batch::fill_joined(&left, &right, &pairs, &sweep_slots(where_clause, gp))?;
+    let groups = fold_batch(ctx, where_clause, gp, &b)?;
+    ctx.db.note_hash_join();
+    Ok(groups)
+}
+
+/// The slots a grouped sweep reads: WHERE, keys and aggregate arguments.
+fn sweep_slots(where_clause: Option<&Expr>, gp: &GroupPlan) -> Vec<usize> {
+    batch_slots(
+        where_clause
+            .into_iter()
             .chain(&gp.keys)
             .chain(gp.aggs.iter().flat_map(|c| &c.args)),
-    );
-    let b = batch::Batch::fill(schema, view, &slots)?;
+    )
+}
+
+/// The batch half of a vectorized grouped sweep: filter, materialize key
+/// and aggregate-argument columns over the surviving selection, and fold
+/// whole column slices per group.
+fn fold_batch(
+    ctx: &Ctx<'_>,
+    where_clause: Option<&Expr>,
+    gp: &GroupPlan,
+    b: &batch::Batch<'_>,
+) -> batch::VResult<Vec<(Vec<Value>, Vec<Value>)>> {
+    let db = ctx.db;
     db.note_batch_filled();
     let cx = batch::VecCtx {
         params: ctx.params,
         fns: ctx.fns,
     };
-    let sel = batch::filter(z.where_clause.as_ref(), &b, &cx)?;
+    let sel = batch::filter(where_clause, b, &cx)?;
     let n = sel.len();
     let mut keys = Vec::with_capacity(gp.keys.len());
     for e in &gp.keys {
-        keys.push(batch::eval(e, &b, &sel, &cx)?.materialize(n)?);
+        keys.push(batch::eval(e, b, &sel, &cx)?.materialize(n)?);
     }
     let mut aggs = Vec::with_capacity(gp.aggs.len());
     for c in &gp.aggs {
         let arg = match c.args.as_slice() {
             [] => None,
-            [a] => Some(batch::eval(a, &b, &sel, &cx)?.materialize(n)?),
+            [a] => Some(batch::eval(a, b, &sel, &cx)?.materialize(n)?),
             _ => return Err(batch::Fallback),
         };
         aggs.push((c.op, arg));
@@ -1724,6 +1803,26 @@ fn vec_ordered(
     Ok(out)
 }
 
+/// Emit a grouped statement's finished result: HAVING, projection and
+/// ORDER BY per group (no table guard held), then DISTINCT and LIMIT.
+fn grouped_result<'db>(
+    db: &Database,
+    params: &[Value],
+    ops: &SelectOps,
+    groups: Vec<(Vec<Value>, Vec<Value>)>,
+) -> Result<Rows<'db>> {
+    let keyed = emit_groups(db, params, ops, groups)?;
+    Ok(Rows {
+        columns: ops.columns.clone(),
+        state: RowsState::Done(grouped_tail(keyed, ops).into_iter()),
+    })
+}
+
+/// Execute a static SELECT plan. `lazy` allows the plain zero-copy path
+/// to return an [`MvccScan`] cursor that streams the plan's snapshot in
+/// batches; internal consumers that insert per source row (`INSERT …
+/// SELECT`) pass `false` and get the output materialized up front
+/// instead, so nothing interleaves with their writes.
 fn run_static_select<'db>(
     db: &'db Database,
     plan: &Arc<PhysicalPlan>,
@@ -1807,12 +1906,7 @@ fn run_static_select<'db>(
                     db.note_scan(examined, true);
                     groups
                 };
-                let keyed = emit_groups(db, params, &sp.ops, groups)?;
-                let rows = grouped_tail(keyed, &sp.ops);
-                return Ok(Rows {
-                    columns: sp.ops.columns.clone(),
-                    state: RowsState::Done(rows.into_iter()),
-                });
+                return grouped_result(db, params, &sp.ops, groups);
             }
             // Plain / DISTINCT / ordered SELECT: filter and project per
             // borrowed row; the sort (if any) runs after the guard
@@ -1989,14 +2083,16 @@ fn run_static_select<'db>(
             }
         }
     }
-    let rows = scan_tables(
+    let ctx = Ctx {
         db,
-        &sp.tables,
-        &sp.schemas,
-        &sp.used_cols,
-        sp.hash_join.as_ref(),
-    )?;
-    run_select(db, OpsSource::Plan(Arc::clone(plan)), rows, params)
+        params,
+        fns: &sp.ops.fns,
+        group: None,
+    };
+    match scan_tables(&ctx, sp)? {
+        Scanned::Rows(rows) => run_select(db, OpsSource::Plan(Arc::clone(plan)), rows, params),
+        Scanned::Groups(groups) => grouped_result(db, params, &sp.ops, groups),
+    }
 }
 
 fn run_dynamic_select<'db>(

@@ -143,6 +143,13 @@ pub(crate) struct HashJoin {
     /// Join key slot of the right (second) table, in the pruned
     /// concatenated layout.
     pub right_slot: usize,
+    /// Plan-time choice: the join feeds an aggregate whose scan-side
+    /// expressions the batch kernels implement, and its key type hashes
+    /// exactly (not float, not variant). The executor then joins the
+    /// tables' borrowed visible rows into one column batch and folds it
+    /// vectorized under the read guards, instead of snapshotting both
+    /// tables and materializing joined rows.
+    pub vectorized: bool,
 }
 
 /// The under-guard half of a zero-copy scan: the statement's scan-side
@@ -523,18 +530,25 @@ pub(crate) fn scan_safe(e: &Expr, fns: &[PlanFn]) -> bool {
 /// Unordered streaming SELECTs keep the tuple-at-a-time cursor: they
 /// hand rows out incrementally, which a materialized batch cannot.
 fn vectorizable(z: &ZeroScan, ops: &SelectOps) -> bool {
-    let ok = |e: &Expr| vec_expr_ok(e, &ops.fns);
-    if !z.where_clause.as_ref().is_none_or(ok) {
-        return false;
-    }
     match &z.kind {
-        ZeroScanKind::Grouped(gp) => {
-            gp.keys.iter().all(ok) && gp.aggs.iter().all(|c| c.args.iter().all(ok))
-        }
+        ZeroScanKind::Grouped(gp) => sweep_vectorizable(z.where_clause.as_ref(), gp, &ops.fns),
         ZeroScanKind::Select { order_by, .. } => {
-            order_by.len() == 1 && !ops.distinct && ok(&order_by[0].0)
+            let ok = |e: &Expr| vec_expr_ok(e, &ops.fns);
+            z.where_clause.as_ref().is_none_or(ok)
+                && order_by.len() == 1
+                && !ops.distinct
+                && ok(&order_by[0].0)
         }
     }
+}
+
+/// May a grouped accumulation sweep (WHERE, keys, aggregate arguments)
+/// run on the batch kernels?
+fn sweep_vectorizable(where_clause: Option<&Expr>, gp: &GroupPlan, fns: &[PlanFn]) -> bool {
+    let ok = |e: &Expr| vec_expr_ok(e, fns);
+    where_clause.is_none_or(ok)
+        && gp.keys.iter().all(ok)
+        && gp.aggs.iter().all(|c| c.args.iter().all(ok))
 }
 
 /// The expression subset the vectorized kernels implement end-to-end:
@@ -661,7 +675,8 @@ fn choose_index_access(
 /// column of each table, with identical column types — cross-type
 /// equality (`int = float`, `timestamp = text`) follows comparison
 /// coercions a hash key cannot mirror exactly, so it stays on the
-/// nested-loop path.
+/// nested-loop path. The join is also marked vectorized when it feeds a
+/// batch-eligible aggregate (see [`HashJoin::vectorized`]).
 fn choose_hash_join(
     db: &Database,
     tables: &[String],
@@ -690,9 +705,18 @@ fn choose_hash_join(
         let nl = db.stats_for(&tables[0])?.row_count;
         let nr = db.stats_for(&tables[1])?.row_count;
         if cost::hash_join_beats_nested(nl, nr) {
+            // Float keys stay scalar: NaN raises and `-0.0` joins `0.0`
+            // there, which the typed hash keys do not model.
+            let vectorized = db.vectorized_enabled()
+                && dl != DataType::Float
+                && ops
+                    .group
+                    .as_ref()
+                    .is_some_and(|gp| sweep_vectorizable(Some(w), gp, &ops.fns));
             return Some(HashJoin {
                 left_slot: l,
                 right_slot: r,
+                vectorized,
             });
         }
     }
@@ -1484,6 +1508,9 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
                 "  Filter: {}",
                 render_expr(w, &pruned, &p.ops.fn_names)
             ));
+        }
+        if let Some(hj) = &p.hash_join {
+            lines.push(format!("  Vectorized: {}", hj.vectorized));
         }
         lines.extend(children);
         lines

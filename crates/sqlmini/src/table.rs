@@ -795,20 +795,6 @@ impl Table {
         })
     }
 
-    /// Clone the rows visible to `snap` keeping only the given columns,
-    /// in `cols` order — the column-pruned snapshot the executor takes
-    /// when a scan cannot run zero-copy. Cloning whole rows is the fast
-    /// path when every column is read.
-    pub(crate) fn project_rows(&self, cols: &[usize], snap: Snapshot) -> Vec<Row> {
-        let view = self.view();
-        if cols.len() == self.schema.len() && cols.iter().enumerate().all(|(i, &c)| i == c) {
-            return view.visible(snap).cloned().collect();
-        }
-        view.visible(snap)
-            .map(|r| cols.iter().map(|&i| r[i].clone()).collect())
-            .collect()
-    }
-
     /// Clone every row visible to `snap` — the whole-table snapshot a
     /// self-referencing `INSERT … SELECT` materializes.
     pub(crate) fn snapshot_rows(&self, snap: Snapshot) -> Vec<Row> {
@@ -945,6 +931,20 @@ impl Table {
     pub(crate) fn latest_rows(&self) -> Vec<Row> {
         self.snapshot_rows(Snapshot::latest())
     }
+}
+
+/// Clone borrowed visible rows keeping only the given columns, in `cols`
+/// order — the column-pruned snapshot the executor takes when a scan
+/// cannot run zero-copy. Cloning whole rows is the fast path when every
+/// column is read.
+pub(crate) fn project_rows(rows: &[&Row], cols: &[usize]) -> Vec<Row> {
+    let identity = cols.iter().enumerate().all(|(i, &c)| i == c);
+    if identity && rows.first().is_some_and(|r| r.len() == cols.len()) {
+        return rows.iter().map(|&r| r.clone()).collect();
+    }
+    rows.iter()
+        .map(|r| cols.iter().map(|&i| r[i].clone()).collect())
+        .collect()
 }
 
 /// A consistent read window over every shard of one table: all shard
@@ -1255,16 +1255,18 @@ mod tests {
         let mut t = Table::new(schema());
         t.insert(vec![Value::Int(1), Value::Float(1.5)]).unwrap();
         t.insert(vec![Value::Int(2), Value::Float(2.5)]).unwrap();
-        let snap = Snapshot::latest();
+        let latest = t.latest_rows();
+        let view = t.view();
+        let rows: Vec<&Row> = view.visible(Snapshot::latest()).collect();
         // Subset, preserving row order.
         assert_eq!(
-            t.project_rows(&[1], snap),
+            project_rows(&rows, &[1]),
             vec![vec![Value::Float(1.5)], vec![Value::Float(2.5)]]
         );
         // Identity selection is the whole-row clone fast path.
-        assert_eq!(t.project_rows(&[0, 1], snap), t.latest_rows());
+        assert_eq!(project_rows(&rows, &[0, 1]), latest);
         // No used columns: row count preserved, rows empty.
-        assert_eq!(t.project_rows(&[], snap), vec![Vec::new(), Vec::new()]);
+        assert_eq!(project_rows(&rows, &[]), vec![Vec::new(), Vec::new()]);
     }
 
     #[test]

@@ -158,6 +158,51 @@ fn equi_join_hashes_and_matches_nested_loop() {
 }
 
 #[test]
+fn hash_join_aggregates_explain_and_count_the_vectorized_path() {
+    let db = join_db();
+    // Pin the toggle: CI sweeps PGFMU_VECTORIZED over the whole suite.
+    db.set_vectorized_enabled(true);
+    let grouped = "SELECT small.w, count(*) FROM big JOIN small ON big.k = small.k \
+                   GROUP BY small.w ORDER BY small.w";
+    // The verdict sits under `HashJoin`, after its Filter line.
+    let plan = plan_of(&db, grouped);
+    assert!(
+        plan.starts_with(
+            "Aggregate\n  ->  HashJoin\n        Hash Cond: (big.k = small.k)\n        \
+             Filter: (big.k = small.k)\n        Vectorized: true\n"
+        ),
+        "{plan}"
+    );
+    // A join that feeds no aggregate keeps the row-at-a-time join.
+    let plain = "SELECT big.v, small.w FROM big JOIN small ON big.k = small.k";
+    assert!(plan_of(&db, plain).contains("  Vectorized: false"));
+
+    // The vectorized join borrows both sides under their guards: two
+    // zero-copy scans, one hash join, one batch, one vectorized fold.
+    let (_, zero, snap) = db.scan_stats();
+    let (_, _, hj, _) = db.access_stats();
+    let (filled, ops, fallbacks) = db.vectorized_stats();
+    let vectorized = db.execute(grouped).unwrap().rows;
+    assert_eq!(vectorized.len(), 40);
+    assert_eq!(db.scan_stats().1 - zero, 2);
+    assert_eq!(db.scan_stats().2 - snap, 0);
+    assert_eq!(db.access_stats().2 - hj, 1);
+    let (filled2, ops2, fallbacks2) = db.vectorized_stats();
+    assert_eq!(
+        (filled2 - filled, ops2 - ops, fallbacks2 - fallbacks),
+        (1, 1, 0)
+    );
+
+    // Scalar: the same answer through two snapshot scans.
+    db.set_vectorized_enabled(false);
+    assert!(plan_of(&db, grouped).contains("  Vectorized: false"));
+    let (_, zero, snap) = db.scan_stats();
+    assert_eq!(db.execute(grouped).unwrap().rows, vectorized);
+    assert_eq!(db.scan_stats().1 - zero, 0);
+    assert_eq!(db.scan_stats().2 - snap, 2);
+}
+
+#[test]
 fn join_on_is_sugar_for_comma_join_plus_where() {
     let db = join_db();
     let on: Vec<(i64, f64)> = db

@@ -417,3 +417,75 @@ fn vectorized_scans_are_snapshot_consistent_under_writes() {
         "the readers were expected to take the vectorized path"
     );
 }
+
+/// A vectorized hash join holds both tables' read guards and shard views
+/// while it folds. The writer commits one group per transaction across
+/// both tables (4 rows into `a`, 2 into `b`, one group-commit round over
+/// both), so every joined group a reader sees must hold exactly 4 × 2
+/// pairs — and nobody may deadlock.
+#[test]
+fn vectorized_hash_joins_are_snapshot_consistent_under_writes() {
+    let db = Database::new();
+    // Pin the toggles: CI sweeps PGFMU_VECTORIZED, and this test is
+    // specifically about the batch join.
+    db.set_vectorized_enabled(true);
+    db.set_hash_join_enabled(true);
+    db.execute("CREATE TABLE a (g int, v float)").unwrap();
+    db.execute("CREATE TABLE b (g int, w float)").unwrap();
+    let commit_group = |g: i64| {
+        db.execute("BEGIN").unwrap();
+        for _ in 0..4 {
+            db.execute(&format!("INSERT INTO a VALUES ({g}, {g})"))
+                .unwrap();
+        }
+        for _ in 0..2 {
+            db.execute(&format!("INSERT INTO b VALUES ({g}, 1.5)"))
+                .unwrap();
+        }
+        db.execute("COMMIT").unwrap();
+    };
+    // Enough committed groups that the cost model hashes the join.
+    for g in 0..10 {
+        commit_group(g);
+    }
+    let grouped = "SELECT a.g, count(*), sum(a.v * b.w) FROM a JOIN b ON a.g = b.g \
+                   GROUP BY a.g ORDER BY 1";
+    let plan = db.execute(&format!("EXPLAIN {grouped}")).unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+    assert!(
+        plan.iter().any(|l| l.ends_with("HashJoin"))
+            && plan.iter().any(|l| l.ends_with("Vectorized: true")),
+        "{plan:?}"
+    );
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let stop = &stop;
+        let commit_group = &commit_group;
+        s.spawn(move || {
+            for g in 10..60 {
+                commit_group(g);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        for _ in 0..2 {
+            let db = &db;
+            s.spawn(move || loop {
+                let q = db.execute(grouped).unwrap();
+                assert!(q.rows.len() >= 10);
+                for row in &q.rows {
+                    assert_eq!(row[1], Value::Int(8), "torn join group {:?}", row[0]);
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            });
+        }
+    });
+    let (_, ops, fallbacks) = db.vectorized_stats();
+    let (_, _, hash_joins, _) = db.access_stats();
+    assert!(
+        ops > 0 && hash_joins > 0,
+        "the readers were expected to join vectorized"
+    );
+    assert_eq!(fallbacks, 0);
+}
